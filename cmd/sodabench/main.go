@@ -22,7 +22,7 @@
 // confirms the death, the switch ejects the dead backends, a replacement
 // node is primed, throughput recovers to ≥90% of pre-fault, and the same
 // seed reproduces the identical event sequence. -duration is virtual
-// time (the run itself takes well under a second of wall time):
+// time, 20s by default (the run takes well under a second of wall time):
 //
 //	sodabench -chaos -seed 1 -duration 20s -out BENCH_chaos.json
 //
@@ -59,7 +59,7 @@
 // rides out a host crash injected mid-scale-up, returns the service to
 // its floor without flapping once the ramp ends, reconstructs its state
 // from journal replay byte-for-byte, and reproduces the identical
-// timeline under the same seed. -duration is virtual time (use 60s):
+// timeline under the same seed. -duration is virtual time (default 60s):
 //
 //	sodabench -autoscale -seed 1 -duration 60s -out BENCH_autoscale.json
 package main
@@ -107,6 +107,23 @@ func experiments() []experiment {
 	}
 }
 
+// defaultDuration is each mode's run length when -duration is unset:
+// wall-clock time for throughput, virtual time for the simulated smokes.
+var defaultDuration = map[string]time.Duration{
+	"throughput": 5 * time.Second,
+	"chaos":      20 * time.Second,
+	"failover":   20 * time.Second,
+	"autoscale":  60 * time.Second,
+}
+
+// durationFor returns the -duration value if set, else mode's default.
+func durationFor(mode string, flagged time.Duration) time.Duration {
+	if flagged != 0 {
+		return flagged
+	}
+	return defaultDuration[mode]
+}
+
 func main() {
 	expFlag := flag.String("exp", "all", "experiment id to run, or 'all'")
 	list := flag.Bool("list", false, "list experiment ids and exit")
@@ -123,7 +140,7 @@ func main() {
 	seed := flag.Uint64("seed", 1, "chaos: fault schedule seed; primescale: testbed seed")
 	backends := flag.Int("backends", 4, "throughput: number of live backends")
 	conc := flag.Int("conc", 16, "throughput: concurrent clients")
-	duration := flag.Duration("duration", 5*time.Second, "throughput: wall-clock measurement window; chaos: virtual run length (use 20s)")
+	duration := flag.Duration("duration", 0, "throughput: wall-clock measurement window (default 5s); chaos, failover: virtual run length (default 20s); autoscale: virtual run length (default 60s)")
 	idlePerHost := flag.Int("idle-per-host", 0, "throughput: proxy transport MaxIdleConnsPerHost (0 = tuned default)")
 	out := flag.String("out", "", "throughput: write the JSON report to this file")
 	sloP99Ms := flag.Float64("slo-p99-ms", 0, "throughput: fail unless p99 latency is at or under this target (ms)")
@@ -157,7 +174,7 @@ func main() {
 	if *autoscaleFlag {
 		os.Exit(runAutoscaleCmd(autoscaleConfig{
 			seed:     *seed,
-			duration: *duration,
+			duration: durationFor("autoscale", *duration),
 			out:      *out,
 		}))
 	}
@@ -165,7 +182,7 @@ func main() {
 	if *failoverFlag {
 		os.Exit(runFailoverCmd(failoverConfig{
 			seed:     *seed,
-			duration: *duration,
+			duration: durationFor("failover", *duration),
 			out:      *out,
 		}))
 	}
@@ -173,7 +190,7 @@ func main() {
 	if *chaosFlag {
 		os.Exit(runChaosCmd(chaosConfig{
 			seed:     *seed,
-			duration: *duration,
+			duration: durationFor("chaos", *duration),
 			out:      *out,
 		}))
 	}
@@ -182,7 +199,7 @@ func main() {
 		os.Exit(runThroughputCmd(throughputConfig{
 			backends:        *backends,
 			conc:            *conc,
-			duration:        *duration,
+			duration:        durationFor("throughput", *duration),
 			idlePerHost:     *idlePerHost,
 			out:             *out,
 			sloP99Ms:        *sloP99Ms,

@@ -1,10 +1,12 @@
 package accounting_test
 
 import (
+	"strconv"
 	"testing"
 
 	"repro/internal/accounting"
 	"repro/internal/cycles"
+	"repro/internal/hostos"
 	"repro/internal/sim"
 	"repro/internal/simnet"
 	"repro/internal/svcswitch"
@@ -139,6 +141,63 @@ func BenchmarkRoutingMetered(b *testing.B) {
 			b.StopTimer()
 			if sw.Routed() < b.N {
 				b.Fatalf("routed %d < N %d", sw.Routed(), b.N)
+			}
+		})
+	}
+}
+
+// churnedMeter builds a meter over three spinning nodes on a host that
+// has already retired the given number of userids, each after one short
+// burst — the state a host reaches after that many torn-down nodes.
+func churnedMeter(tb testing.TB, retired int) (*accounting.Meter, sim.Time) {
+	tb.Helper()
+	k := sim.NewKernel()
+	h := hostos.MustNew(k, hostos.Seattle(), nil)
+	for uid := 1000; uid < 1000+retired; uid++ {
+		p := h.Spawn("retired", uid)
+		p.Exec(10_000, nil)
+		k.Run()
+		h.Kill(p)
+	}
+	var refs []accounting.NodeRef
+	for uid := 1; uid <= 3; uid++ {
+		h.Spawn("live", uid).Spin()
+		refs = append(refs, accounting.NodeRef{Name: "svc-" + strconv.Itoa(uid), UID: uid, Host: h})
+	}
+	m := accounting.NewMeter("svc", nil, func() accounting.ReservedResources {
+		return accounting.ReservedResources{CPUMHz: 600, MemoryMB: 128, DiskMB: 512}
+	}, refs, telemetry.NewRegistry(), k.Now())
+	k.RunUntil(k.Now().Add(sim.Second))
+	return m, k.Now()
+}
+
+// TestMeterSampleZeroAllocAfterChurn gates a meter sample at exactly zero
+// allocations on a host that has retired 5,000 userids: metering cost
+// must not depend on how many nodes the host has ever run.
+func TestMeterSampleZeroAllocAfterChurn(t *testing.T) {
+	m, now := churnedMeter(t, 5000)
+	if a := testing.AllocsPerRun(100, func() {
+		now = now.Add(sim.Second)
+		m.Sample(now)
+	}); a != 0 {
+		t.Fatalf("Meter.Sample: %v allocs/op, want 0", a)
+	}
+	if m.Totals().CPUMHzSeconds == 0 {
+		t.Fatal("meter charged no CPU")
+	}
+}
+
+// BenchmarkMeterSampleAfterChurn measures one meter sample on hosts that
+// have retired 10 and 5,000 userids; the two ns/op figures should match.
+func BenchmarkMeterSampleAfterChurn(b *testing.B) {
+	for _, retired := range []int{10, 5000} {
+		b.Run("retired="+strconv.Itoa(retired), func(b *testing.B) {
+			m, now := churnedMeter(b, retired)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				now = now.Add(sim.Second)
+				m.Sample(now)
 			}
 		})
 	}

@@ -105,8 +105,10 @@ type Host struct {
 	nextResID   int
 
 	// cpuFinished accumulates cycles completed per uid by flows that have
-	// drained; live flows are accounted via Flow.Served at sample time.
+	// drained, and cpuDone their running total across uids; live flows
+	// are accounted via Flow.Served at sample time.
 	cpuFinished map[int]float64
+	cpuDone     float64
 	liveFlows   map[*sim.Flow]int
 }
 
@@ -265,7 +267,9 @@ func (p *Process) OnKill(fn func()) { p.onKill = append(p.onKill, fn) }
 // account; disk flows are not tracked and pass through unchanged.
 func (h *Host) settleFlowInto(f *sim.Flow) {
 	if uid, ok := h.liveFlows[f]; ok {
-		h.cpuFinished[uid] += f.Served()
+		served := f.Served()
+		h.cpuFinished[uid] += served
+		h.cpuDone += served
 		delete(h.liveFlows, f)
 	}
 }
@@ -282,6 +286,7 @@ func (p *Process) Exec(c cycles.Cycles, onDone func()) *sim.Flow {
 	f = h.cpu.Submit(p.Name, 1, float64(c), &sched.FlowMeta{UID: p.UID, PID: p.PID}, func() {
 		delete(p.flows, f)
 		h.cpuFinished[p.UID] += float64(c)
+		h.cpuDone += float64(c)
 		delete(h.liveFlows, f)
 		if onDone != nil {
 			onDone()
@@ -370,20 +375,24 @@ func (p *Process) readDisk(n int64, seek bool, onDone func()) *sim.Flow {
 
 // --- CPU accounting (Figure 5 instrumentation) ---------------------------
 
-// CPUCycles returns the cumulative cycles consumed per userid up to the
-// current virtual time, including partially served live flows.
-func (h *Host) CPUCycles() map[int]float64 {
-	out := make(map[int]float64, len(h.cpuFinished))
-	for uid, v := range h.cpuFinished {
-		out[uid] = v
+// CPUCyclesFor returns the cycles uid has consumed up to now, partially
+// served live flows included, at a cost of one pass over the live flows.
+func (h *Host) CPUCyclesFor(uid int) float64 {
+	v := h.cpuFinished[uid]
+	for f, u := range h.liveFlows {
+		if u == uid {
+			v += f.Served()
+		}
 	}
-	for f, uid := range h.liveFlows {
-		out[uid] += f.Served()
-	}
-	return out
+	return v
 }
 
-// CPUCyclesFor returns cumulative cycles consumed by one userid.
-func (h *Host) CPUCyclesFor(uid int) float64 {
-	return h.CPUCycles()[uid]
+// TotalCPUCycles returns the cumulative cycles consumed by all userids:
+// the running total of drained flows plus every live flow's progress.
+func (h *Host) TotalCPUCycles() float64 {
+	v := h.cpuDone
+	for f := range h.liveFlows {
+		v += f.Served()
+	}
+	return v
 }
