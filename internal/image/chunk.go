@@ -86,7 +86,7 @@ func fnvInt(h uint64, v int64) uint64 {
 // chunkID addresses one piece of one file. The image name is excluded on
 // purpose: identity is the content's, not the package's, which is what
 // makes version-to-version delta priming fall out for free.
-func chunkID(f *File, piece int, pieceBytes int64) uint64 {
+func chunkID(f File, piece int, pieceBytes int64) uint64 {
 	h := uint64(fnvOffset64)
 	h = fnvString(h, f.Path)
 	h = fnvInt(h, int64(piece))

@@ -6,6 +6,7 @@ package image
 
 import (
 	"fmt"
+	"maps"
 	"path"
 	"sort"
 	"strings"
@@ -24,13 +25,27 @@ type File struct {
 // Tree is an in-memory root file system: the unit the SODA Daemon
 // downloads, tailors, and hands to the UML as its root. Paths are unique;
 // directories are implicit.
+//
+// A shared tree is copy-on-write: its clones share its file map, and
+// whichever tree writes first copies the map. Files are stored by value,
+// so no tree can change another's file through a pointer.
 type Tree struct {
-	files map[string]*File
+	files  map[string]File
+	bytes  int64 // running total of every file's size
+	shared bool  // files may be another tree's too; copy before writing
 }
 
 // NewTree returns an empty file system.
 func NewTree() *Tree {
-	return &Tree{files: make(map[string]*File)}
+	return &Tree{files: make(map[string]File)}
+}
+
+// own gives t a private file map ahead of a write.
+func (t *Tree) own() {
+	if t.shared {
+		t.files = maps.Clone(t.files)
+		t.shared = false
+	}
 }
 
 // Add inserts a file, normalising the path. Duplicate paths are replaced.
@@ -42,7 +57,9 @@ func (t *Tree) Add(p string, size int64, executable bool) error {
 	if size < 0 {
 		return fmt.Errorf("image: negative size for %s", cp)
 	}
-	t.files[cp] = &File{Path: cp, SizeBytes: size, Executable: executable}
+	t.own()
+	t.bytes += size - t.files[cp].SizeBytes
+	t.files[cp] = File{Path: cp, SizeBytes: size, Executable: executable}
 	return nil
 }
 
@@ -70,15 +87,19 @@ func (t *Tree) Remove(p string) bool {
 	if err != nil {
 		return false
 	}
-	if _, ok := t.files[cp]; !ok {
+	f, ok := t.files[cp]
+	if !ok {
 		return false
 	}
+	t.own()
+	t.bytes -= f.SizeBytes
 	delete(t.files, cp)
 	return true
 }
 
 // RemovePrefix deletes every file under the directory prefix, returning
-// the number removed and the bytes reclaimed.
+// the number removed and the bytes reclaimed. A prefix that matches
+// nothing copies nothing.
 func (t *Tree) RemovePrefix(dir string) (int, int64) {
 	cp, err := cleanPath(dir)
 	if err != nil {
@@ -89,37 +110,37 @@ func (t *Tree) RemovePrefix(dir string) (int, int64) {
 	var bytes int64
 	for p, f := range t.files {
 		if p == cp || strings.HasPrefix(p, prefix) {
+			t.own() // the range keeps walking the map it started on
 			n++
 			bytes += f.SizeBytes
 			delete(t.files, p)
 		}
 	}
+	t.bytes -= bytes
 	return n, bytes
 }
 
-// Lookup returns the file at p, or nil.
-func (t *Tree) Lookup(p string) *File {
+// Lookup returns the file at p and whether it exists.
+func (t *Tree) Lookup(p string) (File, bool) {
 	cp, err := cleanPath(p)
 	if err != nil {
-		return nil
+		return File{}, false
 	}
-	return t.files[cp]
+	f, ok := t.files[cp]
+	return f, ok
 }
 
 // Contains reports whether the tree holds a file at p.
-func (t *Tree) Contains(p string) bool { return t.Lookup(p) != nil }
+func (t *Tree) Contains(p string) bool {
+	_, ok := t.Lookup(p)
+	return ok
+}
 
 // Len returns the number of files.
 func (t *Tree) Len() int { return len(t.files) }
 
 // SizeBytes returns the total size of all files.
-func (t *Tree) SizeBytes() int64 {
-	var total int64
-	for _, f := range t.files {
-		total += f.SizeBytes
-	}
-	return total
-}
+func (t *Tree) SizeBytes() int64 { return t.bytes }
 
 // SizeMB returns the total size in whole MiB, rounding up.
 func (t *Tree) SizeMB() int {
@@ -128,8 +149,8 @@ func (t *Tree) SizeMB() int {
 }
 
 // List returns every file sorted by path.
-func (t *Tree) List() []*File {
-	out := make([]*File, 0, len(t.files))
+func (t *Tree) List() []File {
+	out := make([]File, 0, len(t.files))
 	for _, f := range t.files {
 		out = append(out, f)
 	}
@@ -138,13 +159,13 @@ func (t *Tree) List() []*File {
 }
 
 // ListDir returns the files directly or transitively under dir, sorted.
-func (t *Tree) ListDir(dir string) []*File {
+func (t *Tree) ListDir(dir string) []File {
 	cp, err := cleanPath(dir)
 	if err != nil {
 		return nil
 	}
 	prefix := cp + "/"
-	var out []*File
+	var out []File
 	for p, f := range t.files {
 		if strings.HasPrefix(p, prefix) {
 			out = append(out, f)
@@ -154,13 +175,13 @@ func (t *Tree) ListDir(dir string) []*File {
 	return out
 }
 
-// Clone returns a deep copy — tailoring operates on a copy so the
-// downloaded master image can prime multiple virtual service nodes.
+// Clone returns an independent copy — tailoring operates on a copy so the
+// downloaded master image can prime multiple virtual service nodes. A
+// shared tree is cloned in O(1), an unshared one copied eagerly. Clone
+// never writes its receiver, so concurrent clones are race-free.
 func (t *Tree) Clone() *Tree {
-	c := NewTree()
-	for p, f := range t.files {
-		cp := *f
-		c.files[p] = &cp
+	if t.shared {
+		return &Tree{files: t.files, bytes: t.bytes, shared: true}
 	}
-	return c
+	return &Tree{files: maps.Clone(t.files), bytes: t.bytes}
 }

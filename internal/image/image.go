@@ -79,8 +79,15 @@ func (im *Image) ComputeChecksum() uint64 {
 	return h
 }
 
-// Seal stamps the image with its manifest checksum.
-func (im *Image) Seal() { im.Checksum = im.ComputeChecksum() }
+// Seal stamps the image with its manifest checksum and marks its root
+// file system shared, so clones are copy-on-write. Seal before
+// publishing, never while the image is being cloned.
+func (im *Image) Seal() {
+	im.Checksum = im.ComputeChecksum()
+	if im.RootFS != nil {
+		im.RootFS.shared = true
+	}
+}
 
 // Verify reports whether the image matches its checksum. Unsealed
 // images (zero checksum) pass.
@@ -125,7 +132,7 @@ func (im *Image) SizeMB() int { return im.RootFS.SizeMB() }
 // SizeBytes returns the image's packaged size in bytes.
 func (im *Image) SizeBytes() int64 { return im.RootFS.SizeBytes() }
 
-// Clone returns a deep copy of the image, for per-node tailoring.
+// Clone returns an independent copy of the image, for per-node tailoring.
 func (im *Image) Clone() *Image {
 	c := *im
 	c.RootFS = im.RootFS.Clone()

@@ -23,9 +23,9 @@ func TestTreeAddLookupRemove(t *testing.T) {
 	if err := tr.Add("/x", -1, false); err == nil {
 		t.Fatal("negative size accepted")
 	}
-	f := tr.Lookup("/usr/sbin/../sbin/httpd") // path cleaning
-	if f == nil || f.SizeBytes != 1024 || !f.Executable {
-		t.Fatalf("lookup = %+v", f)
+	f, ok := tr.Lookup("/usr/sbin/../sbin/httpd") // path cleaning
+	if !ok || f.SizeBytes != 1024 || !f.Executable {
+		t.Fatalf("lookup = %+v, %v", f, ok)
 	}
 	if !tr.Remove("/usr/sbin/httpd") || tr.Remove("/usr/sbin/httpd") {
 		t.Fatal("remove semantics wrong")
@@ -83,14 +83,26 @@ func TestTreeListDir(t *testing.T) {
 	}
 }
 
+// TestTreeCloneIsDeep holds both sides of a clone to the value contract,
+// for an unshared tree (eager copy) and a shared one (copy-on-write):
+// replacing a file on the clone and writing the original after cloning
+// are each invisible to the other tree.
 func TestTreeCloneIsDeep(t *testing.T) {
-	tr := NewTree()
-	tr.MustAdd("/a", 1, false)
-	c := tr.Clone()
-	c.MustAdd("/b", 2, false)
-	c.Lookup("/a").SizeBytes = 99
-	if tr.Len() != 1 || tr.Lookup("/a").SizeBytes != 1 {
-		t.Fatal("clone aliases original")
+	for _, shared := range []bool{false, true} {
+		tr := NewTree()
+		tr.MustAdd("/a", 1, false)
+		tr.shared = shared
+		c := tr.Clone()
+		c.MustAdd("/a", 99, true)
+		c.MustAdd("/b", 2, false)
+		tr.MustAdd("/a", 5, false)
+		tr.MustAdd("/c", 3, false)
+		if f, _ := tr.Lookup("/a"); f.SizeBytes != 5 || f.Executable || tr.Contains("/b") || tr.SizeBytes() != 8 {
+			t.Fatalf("shared=%v: original sees the clone's writes: %+v", shared, tr.List())
+		}
+		if f, _ := c.Lookup("/a"); f.SizeBytes != 99 || !f.Executable || c.Contains("/c") || c.SizeBytes() != 101 {
+			t.Fatalf("shared=%v: clone sees the original's writes: %+v", shared, c.List())
+		}
 	}
 }
 

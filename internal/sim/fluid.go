@@ -249,13 +249,6 @@ func (s *FluidServer) Cancel(f *Flow) bool {
 	return true
 }
 
-// SetWeight changes a flow's weight and re-divides rates.
-func (s *FluidServer) SetWeight(f *Flow, w float64) {
-	s.settle()
-	f.Weight = w
-	s.reschedule()
-}
-
 func (s *FluidServer) detach(f *Flow) {
 	i := f.index
 	last := len(s.flows) - 1

@@ -381,9 +381,6 @@ func (d *Daemon) fetchImage(repo *image.Repository, name string, fanOut int, par
 	}, onErr)
 }
 
-// SetDownloadRetry replaces the download retry tuning.
-func (d *Daemon) SetDownloadRetry(cfg DownloadRetryConfig) { d.retry = cfg }
-
 // downloadWithRetry performs the HTTP download with a per-attempt
 // deadline, checksum verification, and bounded exponential backoff with
 // jitter on transient failures. Permanent failures (the image is not
@@ -885,15 +882,6 @@ func (d *Daemon) DropSwitch(service string) { delete(d.switches, service) }
 
 // HostedSwitches returns how many service switches are homed here.
 func (d *Daemon) HostedSwitches() int { return len(d.switches) }
-
-// NodeInfoFor returns the daemon's record of a node.
-func (d *Daemon) NodeInfoFor(nodeName string) (NodeInfo, bool) {
-	rt, ok := d.nodes[nodeName]
-	if !ok {
-		return NodeInfo{}, false
-	}
-	return rt.info, true
-}
 
 // Crashed reports whether the daemon is crash-stopped.
 func (d *Daemon) Crashed() bool { return d.crashed }

@@ -235,10 +235,6 @@ func (m *Master) EnableRequestTracing(st *reqtrace.Store) {
 	}
 }
 
-// RequestTraces returns the attached trace store (nil when request
-// tracing is disabled).
-func (m *Master) RequestTraces() *reqtrace.Store { return m.reqTraces }
-
 // attachRequestTracer wires one service's switch to its collector.
 func (m *Master) attachRequestTracer(svc *Service) {
 	c := m.reqTraces.Collector(svc.Spec.Name)

@@ -102,8 +102,7 @@ func Boot(req BootRequest, onDone func(*BootReport), onErr func(error)) {
 	if p == (BootParams{}) {
 		p = DefaultBootParams()
 	}
-	catalog := StandardCatalog()
-	tailor, err := Tailor(catalog, req.Image.RootFS, req.Profile, req.Image.SystemServices)
+	tailor, err := Tailor(standardCatalog, req.Image.RootFS, req.Profile, req.Image.SystemServices)
 	if err != nil {
 		fail(err)
 		return

@@ -105,7 +105,7 @@ func TestTailorIsIdempotentOnRetainedSet(t *testing.T) {
 	}
 	var fsBytes int64
 	for _, d := range second.Dropped {
-		if f := img.RootFS.Lookup("/etc/init.d/" + d); f != nil {
+		if f, ok := img.RootFS.Lookup("/etc/init.d/" + d); ok {
 			fsBytes += f.SizeBytes
 		}
 	}

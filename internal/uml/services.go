@@ -130,11 +130,14 @@ func TotalStartCycles(list []*SystemService) cycles.Cycles {
 	return total
 }
 
-// StandardCatalog returns the Red Hat 7.2–era service catalog used by the
-// Table 2 profiles. Start costs are in cycles; the heavyweight entries
-// (kudzu's hardware probe, sendmail's DNS timeouts, database and NFS
-// startup) dominate the full-server profile S_IV exactly as they dominate
-// a real rh-7.2 boot.
+// standardCatalog is read by Boot and the profiles and never modified.
+var standardCatalog = StandardCatalog()
+
+// StandardCatalog returns a fresh copy of the Red Hat 7.2–era service
+// catalog used by the Table 2 profiles. Start costs are in cycles; the
+// heavyweight entries (kudzu's hardware probe, sendmail's DNS timeouts,
+// database and NFS startup) dominate the full-server profile S_IV
+// exactly as they dominate a real rh-7.2 boot.
 func StandardCatalog() *Catalog {
 	c := NewCatalog()
 	reg := func(name string, gigacycles float64, libMB int64, deps ...string) {
@@ -207,5 +210,5 @@ func ProfileLFS() []string {
 // ProfileFullServer is S_IV's root_fs.rh-7.2-server.pristine: "a
 // full-blown Linux server" — every service in the catalog.
 func ProfileFullServer() []string {
-	return StandardCatalog().Names()
+	return standardCatalog.Names()
 }

@@ -74,7 +74,7 @@ func Tailor(c *Catalog, rootfs *image.Tree, profile []string, required []string)
 			continue
 		}
 		res.Dropped = append(res.Dropped, s.Name)
-		if f := rootfs.Lookup("/etc/init.d/" + s.Name); f != nil {
+		if f, ok := rootfs.Lookup("/etc/init.d/" + s.Name); ok {
 			res.ReclaimedBytes += f.SizeBytes
 			rootfs.Remove("/etc/init.d/" + s.Name)
 			res.CPUCost += pruneCycles
