@@ -50,16 +50,17 @@ type Bucket struct {
 	Usage
 }
 
-// Ring is a fixed-capacity circular buffer of usage buckets at one
-// resolution. Samples are folded into the bucket their timestamp aligns
-// to; when time advances past the newest bucket the ring rotates,
-// evicting the oldest. Buckets are sparse in time: idle periods occupy
-// no slots.
+// Ring is a bounded circular buffer of usage buckets at one resolution.
+// Samples are folded into the bucket their timestamp aligns to; when time
+// advances past the newest bucket the ring rotates, evicting the oldest
+// once capacity buckets are live. Buckets are sparse in time: idle periods
+// occupy no slots. Storage grows on demand, never past capacity, so a
+// short-lived service pays for the buckets it used, not for the horizon.
 type Ring struct {
-	res     sim.Duration
-	buckets []Bucket
-	head    int // index of the newest bucket
-	n       int // live bucket count
+	res      sim.Duration
+	capacity int
+	buckets  []Bucket
+	head     int // index of the newest bucket
 }
 
 // NewRing returns a ring of capacity buckets at the given resolution.
@@ -67,14 +68,11 @@ func NewRing(res sim.Duration, capacity int) *Ring {
 	if res <= 0 || capacity <= 0 {
 		panic("accounting: ring needs positive resolution and capacity")
 	}
-	return &Ring{res: res, buckets: make([]Bucket, capacity)}
+	return &Ring{res: res, capacity: capacity}
 }
 
-// Resolution returns the bucket width.
-func (r *Ring) Resolution() sim.Duration { return r.res }
-
 // Len returns the number of live buckets.
-func (r *Ring) Len() int { return r.n }
+func (r *Ring) Len() int { return len(r.buckets) }
 
 // align floors t to the ring's resolution.
 func (r *Ring) align(t sim.Time) sim.Time {
@@ -84,32 +82,38 @@ func (r *Ring) align(t sim.Time) sim.Time {
 // Add folds a usage delta observed at time t into the ring.
 func (r *Ring) Add(t sim.Time, u Usage) {
 	start := r.align(t)
-	if r.n == 0 {
-		r.head, r.n = 0, 1
-		r.buckets[0] = Bucket{Start: start, Usage: u}
+	if len(r.buckets) > 0 {
+		if cur := &r.buckets[r.head]; start <= cur.Start {
+			// Same bucket, or a late sample: fold into the newest slot
+			// rather than lose it (the clock never goes backwards under
+			// sim; wall clocks may jitter).
+			cur.Usage.Add(u)
+			return
+		}
+	}
+	b := Bucket{Start: start, Usage: u}
+	if len(r.buckets) < r.capacity {
+		// Not yet wrapped: the newest bucket is the last element. Grow
+		// by doubling, clamped so a full ring holds exactly capacity.
+		if len(r.buckets) == cap(r.buckets) {
+			grown := make([]Bucket, len(r.buckets), min(max(2*cap(r.buckets), 1), r.capacity))
+			copy(grown, r.buckets)
+			r.buckets = grown
+		}
+		r.buckets = append(r.buckets, b)
+		r.head = len(r.buckets) - 1
 		return
 	}
-	cur := &r.buckets[r.head]
-	if start <= cur.Start {
-		// Same bucket, or a late sample: fold into the newest slot rather
-		// than lose it (the clock never goes backwards under sim; wall
-		// clocks may jitter).
-		cur.Usage.Add(u)
-		return
-	}
-	r.head = (r.head + 1) % len(r.buckets)
-	if r.n < len(r.buckets) {
-		r.n++
-	}
-	r.buckets[r.head] = Bucket{Start: start, Usage: u}
+	r.head = (r.head + 1) % r.capacity
+	r.buckets[r.head] = b
 }
 
 // Buckets returns the live buckets, oldest first.
 func (r *Ring) Buckets() []Bucket {
-	out := make([]Bucket, 0, r.n)
-	for i := 0; i < r.n; i++ {
-		idx := (r.head - r.n + 1 + i + len(r.buckets)) % len(r.buckets)
-		out = append(out, r.buckets[idx])
+	n := len(r.buckets)
+	out := make([]Bucket, 0, n)
+	for i := 0; i < n; i++ {
+		out = append(out, r.buckets[(r.head+1+i)%n])
 	}
 	return out
 }
@@ -117,7 +121,7 @@ func (r *Ring) Buckets() []Bucket {
 // Total sums every live bucket.
 func (r *Ring) Total() Usage {
 	var total Usage
-	for i := 0; i < r.n; i++ {
+	for i := range r.buckets {
 		total.Add(r.buckets[i].Usage)
 	}
 	return total
@@ -126,8 +130,9 @@ func (r *Ring) Total() Usage {
 // Since sums the buckets whose start is at or after t.
 func (r *Ring) Since(t sim.Time) Usage {
 	var total Usage
-	for i := 0; i < r.n; i++ {
-		idx := (r.head - i + len(r.buckets)) % len(r.buckets)
+	n := len(r.buckets)
+	for i := 0; i < n; i++ {
+		idx := (r.head - i + n) % n
 		if r.buckets[idx].Start < t {
 			break // buckets behind the head only get older
 		}

@@ -26,6 +26,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"hash/fnv"
+	"strconv"
+	"unicode/utf8"
 
 	"repro/internal/telemetry"
 )
@@ -105,24 +107,24 @@ func (l *Log) OnAppend(fn func(Record)) {
 // condition.
 func (l *Log) Append(at int64, typ string, data any) Record {
 	rec := l.makeRecord(at, typ, data)
-	frame := encodeFrame(rec)
-	l.tail = append(l.tail, frame...)
+	n := len(l.tail)
+	l.tail = appendFrame(l.tail, rec)
 	l.tailRecs++
-	l.count(len(frame))
+	l.count(len(l.tail) - n)
 	l.notify(rec)
 	return rec
 }
 
 // Snapshot journals a full-state snapshot and truncates the log to it:
-// every frame before the snapshot is dropped.
+// every frame before the snapshot is dropped.  Both buffers are reused
+// in place; Bytes hands out copies, so no caller holds on to them.
 func (l *Log) Snapshot(at int64, data any) Record {
 	rec := l.makeRecord(at, SnapshotType, data)
-	frame := encodeFrame(rec)
-	l.snapshot = frame
+	l.snapshot = appendFrame(l.snapshot[:0], rec)
 	l.snapSeq = rec.Seq
-	l.tail = nil
+	l.tail = l.tail[:0]
 	l.tailRecs = 0
-	l.count(len(frame))
+	l.count(len(l.snapshot))
 	if l.snapsCtr != nil {
 		l.snapsCtr.Inc()
 	}
@@ -164,16 +166,45 @@ func (l *Log) Bytes() []byte {
 	return out
 }
 
-func encodeFrame(rec Record) []byte {
-	payload, err := json.Marshal(rec)
-	if err != nil {
-		panic(fmt.Sprintf("journal: marshal record: %v", err))
+// appendFrame appends rec's frame to dst, encoding the payload once in
+// place.  The payload is byte-for-byte json.Marshal(rec): Data already
+// comes from json.Marshal, so it is compact and HTML-escaped and is
+// copied verbatim, and an empty Data is omitted as its tag says.
+func appendFrame(dst []byte, rec Record) []byte {
+	off := len(dst)
+	dst = append(dst, make([]byte, frameHeader)...)
+	dst = append(dst, `{"seq":`...)
+	dst = strconv.AppendUint(dst, rec.Seq, 10)
+	dst = append(dst, `,"epoch":`...)
+	dst = strconv.AppendUint(dst, rec.Epoch, 10)
+	dst = append(dst, `,"at":`...)
+	dst = strconv.AppendInt(dst, rec.At, 10)
+	dst = append(dst, `,"type":`...)
+	dst = appendJSONString(dst, rec.Type)
+	if len(rec.Data) > 0 {
+		dst = append(dst, `,"data":`...)
+		dst = append(dst, rec.Data...)
 	}
-	frame := make([]byte, frameHeader+len(payload))
-	binary.BigEndian.PutUint32(frame[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(frame[4:12], checksum(payload))
-	copy(frame[frameHeader:], payload)
-	return frame
+	dst = append(dst, '}')
+	payload := dst[off+frameHeader:]
+	binary.BigEndian.PutUint32(dst[off:off+4], uint32(len(payload)))
+	binary.BigEndian.PutUint64(dst[off+4:off+12], checksum(payload))
+	return dst
+}
+
+// appendJSONString appends s encoded as encoding/json encodes it.
+// Record types are plain ASCII names and are copied between quotes;
+// anything that needs escaping goes through encoding/json itself.
+func appendJSONString(dst []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		if c := s[i]; c < 0x20 || c >= utf8.RuneSelf || c == '"' || c == '\\' || c == '<' || c == '>' || c == '&' {
+			quoted, _ := json.Marshal(s) // a string always marshals
+			return append(dst, quoted...)
+		}
+	}
+	dst = append(dst, '"')
+	dst = append(dst, s...)
+	return append(dst, '"')
 }
 
 func checksum(payload []byte) uint64 {

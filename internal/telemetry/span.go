@@ -46,7 +46,8 @@ type Span struct {
 type Tracer struct {
 	mu        sync.Mutex
 	clock     func() time.Duration
-	roots     []*Span
+	roots     []*Span // ring of retained roots; oldest at head once full
+	head      int
 	limit     int
 	onEnd     []func(*Span)
 	nextTrace uint64
@@ -54,7 +55,8 @@ type Tracer struct {
 }
 
 // DefaultSpanLimit bounds retained root spans so a long-running sodad
-// does not grow without bound; the oldest roots are evicted first.
+// does not grow without bound; the newest roots are kept in a ring and
+// the oldest is overwritten first.
 const DefaultSpanLimit = 1024
 
 // NewTracer returns a tracer reading timestamps from clock (an offset
@@ -81,8 +83,21 @@ func (t *Tracer) SetSpanLimit(n int) {
 		n = DefaultSpanLimit
 	}
 	t.mu.Lock()
-	t.limit = n
-	t.mu.Unlock()
+	defer t.mu.Unlock()
+	// Re-linearise oldest first, keeping the newest n roots, so the ring
+	// restarts at head 0 with a fresh array that pins no evicted span.
+	keep := min(len(t.roots), n)
+	roots := make([]*Span, keep)
+	for i := range roots {
+		roots[i] = t.rootLocked(len(t.roots) - keep + i)
+	}
+	t.roots, t.head, t.limit = roots, 0, n
+}
+
+// rootLocked returns the i-th retained root, oldest first; the tracer
+// lock is held.
+func (t *Tracer) rootLocked(i int) *Span {
+	return t.roots[(t.head+i)%len(t.roots)]
 }
 
 // OnEnd registers a hook invoked (under the tracer lock) whenever a span
@@ -111,9 +126,11 @@ func (t *Tracer) StartRoot(name string, attrs ...Label) *Span {
 		tracer: t, Name: name, Trace: t.nextTrace, ID: t.nextSpan,
 		Start: t.clock(), attrs: append([]Label(nil), attrs...),
 	}
-	t.roots = append(t.roots, sp)
-	if over := len(t.roots) - t.limit; over > 0 {
-		t.roots = append([]*Span(nil), t.roots[over:]...)
+	if len(t.roots) < t.limit {
+		t.roots = append(t.roots, sp)
+	} else {
+		t.roots[t.head] = sp
+		t.head = (t.head + 1) % len(t.roots)
 	}
 	return sp
 }
@@ -295,8 +312,8 @@ func (t *Tracer) Roots() []SpanView {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	out := make([]SpanView, len(t.roots))
-	for i, sp := range t.roots {
-		out[i] = sp.viewLocked()
+	for i := range out {
+		out[i] = t.rootLocked(i).viewLocked()
 	}
 	return out
 }

@@ -2,6 +2,8 @@ package telemetry
 
 import (
 	"errors"
+	"fmt"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -160,5 +162,99 @@ func TestWallTracer(t *testing.T) {
 	sp.EndSpan()
 	if sp.Duration() < 0 {
 		t.Fatal("negative wall duration")
+	}
+}
+
+// rootNames lists the retained roots' names, oldest first.
+func rootNames(tr *Tracer) []string {
+	var names []string
+	for _, r := range tr.Roots() {
+		names = append(names, r.Name)
+	}
+	return names
+}
+
+// wantNames returns "r<from>".."r<to-1>".
+func wantNames(from, to int) []string {
+	var names []string
+	for i := from; i < to; i++ {
+		names = append(names, fmt.Sprintf("r%d", i))
+	}
+	return names
+}
+
+func TestSpanRingKeepsNewestOldestFirst(t *testing.T) {
+	for _, limit := range []int{1, 2, 5, 16} {
+		tr := NewTracer((&testClock{}).clock)
+		tr.SetSpanLimit(limit)
+		for i := 0; i < 3*limit; i++ {
+			tr.StartRoot(fmt.Sprintf("r%d", i)).EndSpan()
+			from := max(0, i+1-limit)
+			if got, want := rootNames(tr), wantNames(from, i+1); !reflect.DeepEqual(got, want) {
+				t.Fatalf("limit %d after %d roots: %v, want %v", limit, i+1, got, want)
+			}
+		}
+	}
+}
+
+func TestSetSpanLimitMidStream(t *testing.T) {
+	tr := NewTracer((&testClock{}).clock)
+	tr.SetSpanLimit(5)
+	next := 0
+	start := func(n int) {
+		for ; n > 0; n-- {
+			tr.StartRoot(fmt.Sprintf("r%d", next)).EndSpan()
+			next++
+		}
+	}
+	check := func(step string, want []string) {
+		t.Helper()
+		if got := rootNames(tr); !reflect.DeepEqual(got, want) {
+			t.Fatalf("%s: %v, want %v", step, got, want)
+		}
+	}
+	start(7) // wrapped: head is mid-array
+	check("wrapped", wantNames(2, 7))
+	tr.SetSpanLimit(3) // shrink keeps the newest
+	check("shrunk", wantNames(4, 7))
+	start(2)
+	check("shrunk+2", wantNames(6, 9))
+	tr.SetSpanLimit(6) // grow keeps everything and fills before evicting
+	check("grown", wantNames(6, 9))
+	start(3)
+	check("grown+3", wantNames(6, 12))
+	start(4)
+	check("grown+7", wantNames(10, 16))
+	tr.SetSpanLimit(0) // default limit
+	start(2)
+	check("default", wantNames(10, 18))
+}
+
+// TestStartRootFullIsOneAlloc gates the eviction path: once the ring is
+// full a root costs its own Span and nothing proportional to the limit.
+func TestStartRootFullIsOneAlloc(t *testing.T) {
+	for _, limit := range []int{1, 64, DefaultSpanLimit, 8 * DefaultSpanLimit} {
+		tr := fullTracer(limit)
+		if a := testing.AllocsPerRun(200, func() { tr.StartRoot("op") }); a != 1 {
+			t.Fatalf("limit %d: StartRoot on a full tracer = %v allocs, want 1", limit, a)
+		}
+	}
+}
+
+func fullTracer(limit int) *Tracer {
+	tr := NewTracer((&testClock{}).clock)
+	tr.SetSpanLimit(limit)
+	for i := 0; i < limit; i++ {
+		tr.StartRoot("warm")
+	}
+	return tr
+}
+
+func BenchmarkStartRootFull(b *testing.B) {
+	tr := fullTracer(DefaultSpanLimit)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.StartRoot("op")
 	}
 }

@@ -11,8 +11,10 @@
 package uml
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sort"
+	"sync"
 
 	"repro/internal/cycles"
 )
@@ -36,8 +38,12 @@ type SystemService struct {
 }
 
 // Catalog is a registry of system services with dependency resolution.
+// Closure results are memoised per request; Register resets the memo.
 type Catalog struct {
 	services map[string]*SystemService
+
+	mu   sync.Mutex
+	memo map[string][]*SystemService // closure by encoded request
 }
 
 // NewCatalog returns an empty catalog.
@@ -45,7 +51,8 @@ func NewCatalog() *Catalog {
 	return &Catalog{services: make(map[string]*SystemService)}
 }
 
-// Register adds a service. Re-registering a name replaces it.
+// Register adds a service. Re-registering a name replaces it. The
+// dependency list is copied and sorted, the order Closure visits it in.
 func (c *Catalog) Register(s SystemService) error {
 	if s.Name == "" {
 		return fmt.Errorf("uml: unnamed system service")
@@ -55,7 +62,11 @@ func (c *Catalog) Register(s SystemService) error {
 	}
 	cp := s
 	cp.Deps = append([]string(nil), s.Deps...)
+	sort.Strings(cp.Deps)
+	c.mu.Lock()
+	defer c.mu.Unlock()
 	c.services[s.Name] = &cp
+	c.memo = nil
 	return nil
 }
 
@@ -79,7 +90,37 @@ func (c *Catalog) Len() int { return len(c.services) }
 // boot order (dependencies before dependents, ties alphabetical). It
 // fails on unknown services and on dependency cycles — both are packaging
 // errors the SODA Daemon must surface to the ASP.
+//
+// Results are memoised, so the returned slice is shared between callers
+// and must not be modified; it is clipped, so appending to it copies.
+// Closure is safe for concurrent use.
 func (c *Catalog) Closure(requested []string) ([]*SystemService, error) {
+	// Length-prefixed names: an injective key, built on the stack.
+	var buf [256]byte
+	key := buf[:0]
+	for _, name := range requested {
+		key = binary.AppendUvarint(key, uint64(len(name)))
+		key = append(key, name...)
+	}
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if order, ok := c.memo[string(key)]; ok {
+		return order, nil
+	}
+	order, err := c.closure(requested)
+	if err != nil {
+		return nil, err
+	}
+	order = order[:len(order):len(order)]
+	if c.memo == nil {
+		c.memo = make(map[string][]*SystemService)
+	}
+	c.memo[string(key)] = order
+	return order, nil
+}
+
+// closure computes Closure's result by depth-first search; c.mu is held.
+func (c *Catalog) closure(requested []string) ([]*SystemService, error) {
 	const (
 		white = iota // unvisited
 		grey         // on stack
@@ -87,8 +128,9 @@ func (c *Catalog) Closure(requested []string) ([]*SystemService, error) {
 	)
 	state := make(map[string]int)
 	var order []*SystemService
-	var visit func(name string, chain []string) error
-	visit = func(name string, chain []string) error {
+	var chain []string // the services being visited, outermost first
+	var visit func(name string) error
+	visit = func(name string) error {
 		switch state[name] {
 		case black:
 			return nil
@@ -100,13 +142,13 @@ func (c *Catalog) Closure(requested []string) ([]*SystemService, error) {
 			return fmt.Errorf("uml: unknown system service %q (requested via %v)", name, chain)
 		}
 		state[name] = grey
-		deps := append([]string(nil), s.Deps...)
-		sort.Strings(deps)
-		for _, d := range deps {
-			if err := visit(d, append(chain, name)); err != nil {
+		chain = append(chain, name)
+		for _, d := range s.Deps {
+			if err := visit(d); err != nil {
 				return err
 			}
 		}
+		chain = chain[:len(chain)-1]
 		state[name] = black
 		order = append(order, s)
 		return nil
@@ -114,7 +156,7 @@ func (c *Catalog) Closure(requested []string) ([]*SystemService, error) {
 	req := append([]string(nil), requested...)
 	sort.Strings(req)
 	for _, name := range req {
-		if err := visit(name, nil); err != nil {
+		if err := visit(name); err != nil {
 			return nil, err
 		}
 	}
