@@ -13,34 +13,45 @@ import (
 	"repro/internal/svcswitch"
 )
 
-// benchFixture starts nBackends live HTTP servers plus the proxy in
-// front of them, outside the testing.T fixture.
-func benchFixture(b *testing.B, nBackends int) (*Proxy, *httptest.Server) {
-	b.Helper()
+// benchFixture starts nBackends live Backends (capacities alternating
+// 1 and 2, so the WRR schedule is mixed) behind the proxy.
+func benchFixture(tb testing.TB, nBackends int) (*Proxy, *httptest.Server) {
+	tb.Helper()
+	handlers := make([]http.Handler, nBackends)
+	for i := range handlers {
+		handlers[i] = &Backend{Name: "node-" + strconv.Itoa(i)}
+	}
+	return proxyFront(tb, handlers...)
+}
+
+// proxyFront starts one live HTTP server per handler — backend i with
+// capacity 1 + i%2 — plus the proxy in front of them, all on loopback
+// TCP, torn down with the test.
+func proxyFront(tb testing.TB, handlers ...http.Handler) (*Proxy, *httptest.Server) {
+	tb.Helper()
 	var entries []svcswitch.BackendEntry
-	for i := 0; i < nBackends; i++ {
-		be := &Backend{Name: "node-" + strconv.Itoa(i)}
-		srv := httptest.NewServer(be)
-		b.Cleanup(srv.Close)
+	for i, h := range handlers {
+		srv := httptest.NewServer(h)
+		tb.Cleanup(srv.Close)
 		host := strings.TrimPrefix(srv.URL, "http://")
 		ipPort := strings.Split(host, ":")
 		port, err := strconv.Atoi(ipPort[1])
 		if err != nil {
-			b.Fatal(err)
+			tb.Fatal(err)
 		}
 		entries = append(entries, svcswitch.BackendEntry{
 			IP:       simnet.IP(ipPort[0]),
 			Port:     port,
-			Capacity: 1 + i%2, // mixed capacities exercise the WRR schedule
+			Capacity: 1 + i%2,
 		})
 	}
 	cfg := svcswitch.NewConfigFile("bench")
 	if err := cfg.SetEntries(entries); err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	p := New(cfg)
 	front := httptest.NewServer(p)
-	b.Cleanup(front.Close)
+	tb.Cleanup(front.Close)
 	return p, front
 }
 

@@ -66,17 +66,46 @@ func DefaultTransportConfig() TransportConfig {
 	}
 }
 
-// transport materialises the config into a shared http.Transport.
+// transport materialises the config into a shared http.Transport. It
+// forwards as a switch should: backends are dialled directly, never
+// through an HTTP_PROXY from the environment, and compression is left
+// to the client and backend — the transport neither adds
+// Accept-Encoding nor inflates a gzip reply, so encodings and
+// Content-Length pass through unchanged.
 func (c TransportConfig) transport() *http.Transport {
 	d := &net.Dialer{Timeout: c.DialTimeout, KeepAlive: 30 * time.Second}
 	return &http.Transport{
-		Proxy:                 http.ProxyFromEnvironment,
+		DisableCompression:    true,
 		DialContext:           d.DialContext,
 		MaxIdleConns:          c.MaxIdleConns,
 		MaxIdleConnsPerHost:   c.MaxIdleConnsPerHost,
 		IdleConnTimeout:       c.IdleConnTimeout,
 		ResponseHeaderTimeout: c.ResponseHeaderTimeout,
 	}
+}
+
+// copyBufSize is the body copy buffer of every backend proxy: the size
+// httputil.ReverseProxy allocates per request when it has no pool.
+const copyBufSize = 32 << 10
+
+// bodyBufPool is the httputil.BufferPool shared by every ReverseProxy
+// the switch builds, so forwarding a request reuses a copy buffer
+// instead of allocating one. It pools array pointers: Get hands out a
+// slice of the array and Put converts the slice back, so a warm
+// Get+Put allocates nothing (pooling &slice would allocate per Put).
+type bodyBufPool struct{ p sync.Pool }
+
+var bodyBufs = &bodyBufPool{p: sync.Pool{New: func() any { return new([copyBufSize]byte) }}}
+
+func (b *bodyBufPool) Get() []byte { return b.p.Get().(*[copyBufSize]byte)[:] }
+
+// Put returns a buffer from Get to the pool; a slice of any other
+// length is dropped.
+func (b *bodyBufPool) Put(buf []byte) {
+	if len(buf) != copyBufSize {
+		return
+	}
+	b.p.Put((*[copyBufSize]byte)(buf))
 }
 
 // statCell is one backend's forwarding statistics as atomics, so the
@@ -467,6 +496,7 @@ func (p *Proxy) rebuildLocked() *routeTable {
 		if rp == nil {
 			rp = httputil.NewSingleHostReverseProxy(&url.URL{Scheme: "http", Host: addr})
 			rp.Transport = p.transport
+			rp.BufferPool = bodyBufs
 			rp.ErrorHandler = captureError
 			p.proxies[addr] = rp
 		}
